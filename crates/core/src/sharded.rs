@@ -443,7 +443,7 @@ impl Coordinator<'_> {
                      (sent at {t})",
                     self.lookahead
                 );
-                self.queues[d].push(arrival, Event::Deliver(msg));
+                self.queues[d].push(arrival, Event::Deliver(Box::new(msg)));
                 self.order.push(arrival, d);
             }
             FxItem::Race(op) => {

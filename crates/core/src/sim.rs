@@ -594,22 +594,45 @@ struct Cu {
     slots: Vec<Option<usize>>,
     /// Thread blocks waiting for a slot.
     queue: VecDeque<usize>,
+    /// Bit `s` is set iff slot `s` holds a [`TbStatus::Ready`] thread
+    /// block. Kept in step by [`Machine::set_ready`]/[`Machine::set_blocked`]
+    /// and the slot fill/retire sites; bounds `tbs_per_cu` at 64.
+    ready: u64,
     /// Round-robin pointer.
     rr: usize,
     tick_scheduled: bool,
+}
+
+/// The round-robin issue pick: the first set bit of the ready `mask` at
+/// or after slot `rr`, wrapping to the lowest set bit. `mask` must be
+/// non-zero and `rr < 64`.
+#[inline]
+fn rr_pick(mask: u64, rr: usize) -> usize {
+    debug_assert!(mask != 0 && rr < 64);
+    let upper = mask >> rr;
+    if upper != 0 {
+        rr + upper.trailing_zeros() as usize
+    } else {
+        mask.trailing_zeros() as usize
+    }
 }
 
 #[derive(Debug)]
 pub(crate) enum Event {
     /// Issue one instruction on the CU.
     CuTick(usize),
-    /// A network message arrives.
-    Deliver(Msg),
+    /// A network message arrives (boxed: an inline `Msg` would make
+    /// every event, ticks included, 88 bytes instead of 16).
+    Deliver(Box<Msg>),
     /// A delayed completion fires.
     Finish { req: ReqId, value: Value },
     /// A compute-blocked thread block becomes ready.
     TbWake { tb: usize },
 }
+
+// Every issued instruction moves one event through the queue, so a fat
+// variant taxes the whole engine.
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
 pub(crate) struct Machine {
     protocol: gsim_types::ProtocolConfig,
@@ -703,6 +726,11 @@ impl Machine {
     fn new(config: &SystemConfig, workload: &Workload, trace: TraceHandle) -> Machine {
         let mut memory = MemoryImage::new();
         (workload.init)(&mut memory);
+        assert!(
+            (1..=64).contains(&config.tbs_per_cu),
+            "tbs_per_cu = {} is out of range: each CU's ready mask holds 1..=64 slots",
+            config.tbs_per_cu
+        );
         let nodes = config.topology.nodes();
         let prof = ProfHandle::new(config.prof, config.total_cus(), nodes);
         let lens = LensHandle::new(config.lens, nodes);
@@ -734,6 +762,7 @@ impl Machine {
             .map(|_| Cu {
                 slots: vec![None; config.tbs_per_cu],
                 queue: VecDeque::new(),
+                ready: 0,
                 rr: 0,
                 tick_scheduled: false,
             })
@@ -1027,6 +1056,64 @@ impl Machine {
         (node / self.nodes_per_dev) * self.gpu_cus + node % self.nodes_per_dev
     }
 
+    /// One instruction retired on `cu` (the profiler row is computed
+    /// only when profiling, since this runs on every issue).
+    #[inline]
+    fn retire_instr(&mut self, cu: usize) {
+        self.counts.instructions += 1;
+        if self.prof.is_enabled() {
+            self.prof.instr(self.prof_cu(cu));
+        }
+    }
+
+    /// A profiler CU state transition at the current cycle.
+    fn prof_state(&self, cu: usize, kind: StallKind) {
+        if self.prof.is_enabled() {
+            self.prof.set_state(self.prof_cu(cu), self.now, kind);
+        }
+    }
+
+    /// Makes resident `tb` issuable: its status and its CU's ready bit.
+    #[inline]
+    fn set_ready(&mut self, tb: usize) {
+        let t = &mut self.tbs[tb];
+        t.status = TbStatus::Ready;
+        self.cus[t.cu].ready |= 1 << t.slot;
+    }
+
+    /// Blocks resident `tb` for `wait` (see [`Tb::wait`]).
+    #[inline]
+    fn set_blocked(&mut self, tb: usize, wait: StallKind) {
+        let t = &mut self.tbs[tb];
+        t.status = TbStatus::Blocked;
+        t.wait = wait;
+        self.cus[t.cu].ready &= !(1 << t.slot);
+    }
+
+    /// Seats `tb` in `slot` of `cu` (a queued block is always ready).
+    fn seat(&mut self, cu: usize, slot: usize, tb: usize) {
+        self.cus[cu].slots[slot] = Some(tb);
+        self.tbs[tb].slot = slot;
+        self.set_ready(tb);
+        let id = self.tbs[tb].id;
+        self.trace.emit(|| TraceEvent::TbLaunch {
+            tb: id,
+            cu: NodeId(cu as u8),
+        });
+    }
+
+    /// The ready mask rebuilt from the slots' statuses: what
+    /// [`Cu::ready`] must always equal.
+    fn ready_mask_from_slots(&self, cu: usize) -> u64 {
+        let mut mask = 0;
+        for (s, tb) in self.cus[cu].slots.iter().enumerate() {
+            if tb.is_some_and(|t| self.tbs[t].status == TbStatus::Ready) {
+                mask |= 1 << s;
+            }
+        }
+        mask
+    }
+
     fn ensure_tick(&mut self, cu: usize, at: Cycle) {
         if !self.cus[cu].tick_scheduled {
             self.cus[cu].tick_scheduled = true;
@@ -1034,8 +1121,8 @@ impl Machine {
         }
     }
 
-    fn process_actions(&mut self, actions: ActionVec) {
-        for a in actions {
+    fn process_actions(&mut self, actions: &ActionVec) {
+        for &a in actions.iter() {
             match a {
                 Action::Send { msg, delay } => {
                     if let Some(ctx) = &mut self.shard {
@@ -1046,7 +1133,7 @@ impl Machine {
                         ctx.cur.push(FxItem::Send { delay, msg });
                     } else {
                         let arrival = self.mesh.send(self.now + delay, &msg);
-                        self.schedule(arrival, Event::Deliver(msg));
+                        self.schedule(arrival, Event::Deliver(Box::new(msg)));
                     }
                 }
                 Action::Complete { req, value, delay } => {
@@ -1075,6 +1162,7 @@ impl Machine {
         for c in &mut self.cus {
             c.slots.fill(None);
             c.queue.clear();
+            c.ready = 0;
             c.rr = 0;
         }
         for (i, spec) in launch.tbs.iter().enumerate() {
@@ -1107,25 +1195,17 @@ impl Machine {
         for cu in self.cu_nodes() {
             for slot in 0..self.tbs_per_cu {
                 if let Some(tb) = self.cus[cu].queue.pop_front() {
-                    self.cus[cu].slots[slot] = Some(tb);
-                    self.tbs[tb].slot = slot;
-                    let id = self.tbs[tb].id;
-                    self.trace.emit(|| TraceEvent::TbLaunch {
-                        tb: id,
-                        cu: NodeId(cu as u8),
-                    });
+                    self.seat(cu, slot, tb);
                 } else {
                     break;
                 }
             }
-            if self.cus[cu].slots.iter().any(Option::is_some) {
+            if self.cus[cu].ready != 0 {
                 let at = self.now + 1;
                 self.ensure_tick(cu, at);
-                self.prof
-                    .set_state(self.prof_cu(cu), self.now, StallKind::Issue);
+                self.prof_state(cu, StallKind::Issue);
             } else {
-                self.prof
-                    .set_state(self.prof_cu(cu), self.now, StallKind::Idle);
+                self.prof_state(cu, StallKind::Idle);
             }
         }
     }
@@ -1142,15 +1222,13 @@ impl Machine {
                 self.pending
                     .insert(req, (Target::KernelDrain { cu }, self.now));
                 self.drain_left += 1;
-                self.prof
-                    .set_state(self.prof_cu(cu), self.now, StallKind::SbDrain);
+                self.prof_state(cu, StallKind::SbDrain);
             } else {
-                self.prof
-                    .set_state(self.prof_cu(cu), self.now, StallKind::Idle);
+                self.prof_state(cu, StallKind::Idle);
             }
             all.append(&actions);
         }
-        self.process_actions(all);
+        self.process_actions(&all);
     }
 
     /// Every end-of-kernel release completed (the
@@ -1188,6 +1266,7 @@ impl Machine {
         let (cu, slot) = (self.tbs[tb].cu, self.tbs[tb].slot);
         self.tbs[tb].status = TbStatus::Done;
         self.cus[cu].slots[slot] = None;
+        self.cus[cu].ready &= !(1 << slot);
         self.tbs_finished += 1;
         let id = self.tbs[tb].id;
         self.trace.emit(|| TraceEvent::TbRetire {
@@ -1195,19 +1274,12 @@ impl Machine {
             cu: NodeId(cu as u8),
         });
         if let Some(next) = self.cus[cu].queue.pop_front() {
-            self.cus[cu].slots[slot] = Some(next);
-            self.tbs[next].slot = slot;
-            let id = self.tbs[next].id;
-            self.trace.emit(|| TraceEvent::TbLaunch {
-                tb: id,
-                cu: NodeId(cu as u8),
-            });
+            self.seat(cu, slot, next);
         }
         if self.cus[cu].slots.iter().all(Option::is_none) {
             // The CU emptied mid-kernel: idle until the next kernel
             // boundary (which may override to a drain wait).
-            self.prof
-                .set_state(self.prof_cu(cu), self.now, StallKind::Idle);
+            self.prof_state(cu, StallKind::Idle);
         }
         // The last retirement does NOT end the kernel here: that is a
         // cycle-boundary step (the run loop fires it once no event
@@ -1226,16 +1298,14 @@ impl Machine {
         let cu = self.tbs[tb].cu;
         match instr {
             Instr::Mov { dst, src } => {
-                self.counts.instructions += 1;
-                self.prof.instr(self.prof_cu(cu));
+                self.retire_instr(cu);
                 let v = src.eval(&self.tbs[tb].regs);
                 self.tbs[tb].regs[dst as usize] = v;
                 self.tbs[tb].pc += 1;
                 StallKind::Issue
             }
             Instr::Alu { dst, a, op, b } => {
-                self.counts.instructions += 1;
-                self.prof.instr(self.prof_cu(cu));
+                self.retire_instr(cu);
                 let regs = &self.tbs[tb].regs;
                 let v = op.apply(a.eval(regs), b.eval(regs));
                 self.tbs[tb].regs[dst as usize] = v;
@@ -1255,18 +1325,15 @@ impl Machine {
                 }
                 let bucket = match issue {
                     Issue::Hit(v) => {
-                        self.counts.instructions += 1;
-                        self.prof.instr(self.prof_cu(cu));
+                        self.retire_instr(cu);
                         self.latency.load_to_use.record(1);
                         self.tbs[tb].regs[dst as usize] = v;
                         self.tbs[tb].pc += 1;
                         StallKind::Issue
                     }
                     Issue::Pending => {
-                        self.counts.instructions += 1;
-                        self.prof.instr(self.prof_cu(cu));
-                        self.tbs[tb].status = TbStatus::Blocked;
-                        self.tbs[tb].wait = StallKind::LoadUse;
+                        self.retire_instr(cu);
+                        self.set_blocked(tb, StallKind::LoadUse);
                         self.flow.begin_journey(
                             req,
                             NodeId(cu as u8),
@@ -1291,19 +1358,17 @@ impl Machine {
                     Issue::Retry => StallKind::LoadUse,
                     Issue::RetryAfter(d) => {
                         // Backoff: sleep, then reissue the same load.
-                        self.tbs[tb].status = TbStatus::Blocked;
-                        self.tbs[tb].wait = StallKind::LoadUse;
+                        self.set_blocked(tb, StallKind::LoadUse);
                         let at = self.now + d;
                         self.schedule(at, Event::TbWake { tb });
                         StallKind::LoadUse
                     }
                 };
-                self.process_actions(actions);
+                self.process_actions(&actions);
                 bucket
             }
             Instr::St { addr, src } => {
-                self.counts.instructions += 1;
-                self.prof.instr(self.prof_cu(cu));
+                self.retire_instr(cu);
                 let regs = &self.tbs[tb].regs;
                 let (word, v) = (addr.word(regs), src.eval(regs));
                 let overflows_before = if self.prof.is_enabled() {
@@ -1318,7 +1383,7 @@ impl Machine {
                     self.race_op(RaceOp::DataWrite { tb: t, word });
                 }
                 self.tbs[tb].pc += 1;
-                self.process_actions(actions);
+                self.process_actions(&actions);
                 // A store that forced an overflow flush spent its cycle
                 // on a full store buffer, not useful issue.
                 if self.prof.is_enabled()
@@ -1347,15 +1412,13 @@ impl Machine {
                 // Program-order rule 2: older writes complete before a
                 // release — run the release phase first, once.
                 if ord.releases() && !self.tbs[tb].released {
-                    self.counts.instructions += 1;
-                    self.prof.instr(self.prof_cu(cu));
+                    self.retire_instr(cu);
                     let req = self.alloc_req();
                     let (issue, actions) = self.l1s[cu].release(local, req);
                     match issue {
                         Issue::Hit(_) => self.tbs[tb].released = true,
                         Issue::Pending => {
-                            self.tbs[tb].status = TbStatus::Blocked;
-                            self.tbs[tb].wait = StallKind::SbDrain;
+                            self.set_blocked(tb, StallKind::SbDrain);
                             self.pending.insert(
                                 req,
                                 (
@@ -1371,7 +1434,7 @@ impl Machine {
                             unreachable!("releases never retry")
                         }
                     }
-                    self.process_actions(actions);
+                    self.process_actions(&actions);
                     return StallKind::Issue;
                 }
                 // Which sync wait this operation represents if it has
@@ -1428,8 +1491,7 @@ impl Machine {
                 }
                 let bucket = match issue {
                     Issue::Hit(old) => {
-                        self.counts.instructions += 1;
-                        self.prof.instr(self.prof_cu(cu));
+                        self.retire_instr(cu);
                         self.latency.atomic_rtt.record(1);
                         let started = self.tbs[tb].sync_started.take().unwrap_or(self.now);
                         self.latency.barrier_wait.record(self.now - started);
@@ -1445,10 +1507,8 @@ impl Machine {
                         StallKind::Issue
                     }
                     Issue::Pending => {
-                        self.counts.instructions += 1;
-                        self.prof.instr(self.prof_cu(cu));
-                        self.tbs[tb].status = TbStatus::Blocked;
-                        self.tbs[tb].wait = sync_kind;
+                        self.retire_instr(cu);
+                        self.set_blocked(tb, sync_kind);
                         self.sync_inflight += 1;
                         self.flow.begin_journey(
                             req,
@@ -1477,21 +1537,21 @@ impl Machine {
                     Issue::RetryAfter(d) => {
                         // DeNovoSync backoff: sleep, then reissue the
                         // same sync operation (the release latch stays).
-                        self.tbs[tb].status = TbStatus::Blocked;
-                        self.tbs[tb].wait = sync_kind;
+                        self.set_blocked(tb, sync_kind);
                         let at = self.now + d;
                         self.schedule(at, Event::TbWake { tb });
                         sync_kind
                     }
                 };
-                self.process_actions(actions);
+                self.process_actions(&actions);
                 bucket
             }
             Instr::LdScratch { dst, addr } => {
-                self.counts.instructions += 1;
+                self.retire_instr(cu);
                 self.counts.scratch_accesses += 1;
-                self.prof.instr(self.prof_cu(cu));
-                self.prof.scratch(self.prof_cu(cu));
+                if self.prof.is_enabled() {
+                    self.prof.scratch(self.prof_cu(cu));
+                }
                 let idx = addr.word(&self.tbs[tb].regs).0 as usize;
                 let v = self.tbs[tb].scratch[idx];
                 self.tbs[tb].regs[dst as usize] = v;
@@ -1499,10 +1559,11 @@ impl Machine {
                 StallKind::Issue
             }
             Instr::StScratch { addr, src } => {
-                self.counts.instructions += 1;
+                self.retire_instr(cu);
                 self.counts.scratch_accesses += 1;
-                self.prof.instr(self.prof_cu(cu));
-                self.prof.scratch(self.prof_cu(cu));
+                if self.prof.is_enabled() {
+                    self.prof.scratch(self.prof_cu(cu));
+                }
                 let regs = &self.tbs[tb].regs;
                 let (idx, v) = (addr.word(regs).0 as usize, src.eval(regs));
                 self.tbs[tb].scratch[idx] = v;
@@ -1510,43 +1571,37 @@ impl Machine {
                 StallKind::Issue
             }
             Instr::Compute { cycles } => {
-                self.counts.instructions += 1;
-                self.prof.instr(self.prof_cu(cu));
+                self.retire_instr(cu);
                 let n = cycles.eval(&self.tbs[tb].regs) as Cycle;
                 self.tbs[tb].pc += 1;
                 if n > 0 {
-                    self.tbs[tb].status = TbStatus::Blocked;
                     // Compute latency counts as useful execution, not a
                     // stall.
-                    self.tbs[tb].wait = StallKind::Issue;
+                    self.set_blocked(tb, StallKind::Issue);
                     let at = self.now + n;
                     self.schedule(at, Event::TbWake { tb });
                 }
                 StallKind::Issue
             }
             Instr::Jmp { target } => {
-                self.counts.instructions += 1;
-                self.prof.instr(self.prof_cu(cu));
+                self.retire_instr(cu);
                 self.tbs[tb].pc = target;
                 StallKind::Issue
             }
             Instr::Bnz { cond, target } => {
-                self.counts.instructions += 1;
-                self.prof.instr(self.prof_cu(cu));
+                self.retire_instr(cu);
                 let taken = cond.eval(&self.tbs[tb].regs) != 0;
                 self.tbs[tb].pc = if taken { target } else { self.tbs[tb].pc + 1 };
                 StallKind::Issue
             }
             Instr::Bz { cond, target } => {
-                self.counts.instructions += 1;
-                self.prof.instr(self.prof_cu(cu));
+                self.retire_instr(cu);
                 let taken = cond.eval(&self.tbs[tb].regs) == 0;
                 self.tbs[tb].pc = if taken { target } else { self.tbs[tb].pc + 1 };
                 StallKind::Issue
             }
             Instr::Halt => {
-                self.counts.instructions += 1;
-                self.prof.instr(self.prof_cu(cu));
+                self.retire_instr(cu);
                 self.on_tb_finished(tb);
                 StallKind::Issue
             }
@@ -1554,31 +1609,22 @@ impl Machine {
     }
 
     fn on_cu_tick(&mut self, cu: usize) {
-        self.cus[cu].tick_scheduled = false;
-        let slots = self.cus[cu].slots.len();
-        let mut picked = None;
-        for k in 0..slots {
-            let s = (self.cus[cu].rr + k) % slots;
-            if let Some(tb) = self.cus[cu].slots[s] {
-                if self.tbs[tb].status == TbStatus::Ready {
-                    picked = Some((s, tb));
-                    break;
-                }
-            }
-        }
-        let Some((s, tb)) = picked else {
+        debug_assert_eq!(self.cus[cu].ready, self.ready_mask_from_slots(cu));
+        let c = &mut self.cus[cu];
+        c.tick_scheduled = false;
+        if c.ready == 0 {
             return; // all blocked or empty: completions restart the tick
-        };
-        self.cus[cu].rr = (s + 1) % slots;
+        }
+        let s = rr_pick(c.ready, c.rr);
+        c.rr = if s + 1 == c.slots.len() { 0 } else { s + 1 };
+        let tb = c.slots[s].expect("a ready bit marks an occupied slot");
         self.counts.cu_active_cycles += 1;
-        self.prof.cu_active(self.prof_cu(cu));
+        if self.prof.is_enabled() {
+            self.prof.cu_active(self.prof_cu(cu));
+        }
         let bucket = self.exec_step(tb);
         // Keep issuing while any resident block is ready.
-        let any_ready = self.cus[cu]
-            .slots
-            .iter()
-            .flatten()
-            .any(|&t| self.tbs[t].status == TbStatus::Ready);
+        let any_ready = self.cus[cu].ready != 0;
         if any_ready {
             let at = self.now + 1;
             self.ensure_tick(cu, at);
@@ -1614,8 +1660,7 @@ impl Machine {
         match target {
             Target::KernelDrain { cu } => {
                 self.latency.sb_drain.record(self.now - issued_at);
-                self.prof
-                    .set_state(self.prof_cu(cu), self.now, StallKind::Idle);
+                self.prof_state(cu, StallKind::Idle);
                 // `drain_left == 0` fires `on_kernel_drained` at the
                 // next cycle boundary (see `kernel_boundary_step`).
                 self.drain_left -= 1;
@@ -1649,7 +1694,7 @@ impl Machine {
                         self.tbs[tb].released = true; // pc unchanged: reissue
                     }
                 }
-                self.tbs[tb].status = TbStatus::Ready;
+                self.set_ready(tb);
                 let (cu, at) = (self.tbs[tb].cu, self.now + 1);
                 self.ensure_tick(cu, at);
             }
@@ -1712,12 +1757,12 @@ impl Machine {
                         self.l2.handle(self.now, &msg)
                     }
                 };
-                self.process_actions(actions);
+                self.process_actions(&actions);
             }
             Event::Finish { req, value } => self.finish_req(req, value),
             Event::TbWake { tb } => {
                 if self.tbs[tb].status == TbStatus::Blocked {
-                    self.tbs[tb].status = TbStatus::Ready;
+                    self.set_ready(tb);
                 }
                 let (cu, at) = (self.tbs[tb].cu, self.now);
                 self.ensure_tick(cu, at);
@@ -2437,6 +2482,42 @@ mod tests {
             .unwrap();
         assert_eq!(stats.counts.scratch_accesses, 2);
         assert!(stats.energy.scratch_pj > 0.0);
+    }
+
+    #[test]
+    fn mask_pick_matches_the_round_robin_scan() {
+        // The scan the ready mask replaced: first ready slot at or after
+        // `rr`, wrapping.
+        fn scan(ready: &[bool], rr: usize) -> Option<usize> {
+            (0..ready.len())
+                .map(|k| (rr + k) % ready.len())
+                .find(|&s| ready[s])
+        }
+        let mut rng = gsim_types::Rng64::seed_from_u64(0x5eed);
+        for _ in 0..20_000 {
+            let slots = rng.gen_usize(1, 65);
+            let rr = rng.gen_usize(0, slots);
+            // Mix sparse, dense and single-bit ready sets.
+            let density = rng.gen_u32(0, 101);
+            let ready: Vec<bool> = (0..slots).map(|_| rng.gen_u32(0, 100) < density).collect();
+            let mask = ready
+                .iter()
+                .enumerate()
+                .fold(0u64, |m, (s, &r)| m | (u64::from(r) << s));
+            let want = scan(&ready, rr);
+            let got = (mask != 0).then(|| rr_pick(mask, rr));
+            assert_eq!(got, want, "slots {slots}, rr {rr}, mask {mask:#x}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tbs_per_cu = 65 is out of range")]
+    fn tbs_per_cu_beyond_the_ready_mask_is_rejected() {
+        let mut b = KernelBuilder::new();
+        b.halt();
+        let mut cfg = SystemConfig::micro15(ProtocolConfig::Gd);
+        cfg.tbs_per_cu = 65;
+        let _ = Simulator::new(cfg).run(&one_tb(b, 0, 0));
     }
 
     #[test]
