@@ -233,9 +233,8 @@ impl<T> CalendarQueue<T> {
     ///
     /// Non-mutating: the cursor does not advance and no overflow
     /// migration happens, so the ring scan is O(horizon) worst case.
-    /// Callers use this at cycle/kernel boundaries (the sequential
-    /// engine's deferred kernel transitions, the sharded coordinator's
-    /// epoch scheduling), not on the per-event hot path.
+    /// Callers use this at cycle boundaries (the engine's deferred
+    /// kernel transitions), not on the per-event hot path.
     ///
     /// The overflow heap must be consulted even when the ring is
     /// non-empty: pops migrate overflow *before* advancing the cursor,
@@ -1033,31 +1032,27 @@ mod tests {
         assert_eq!(q.next_cycle(), None);
     }
 
-    /// Epoch-boundary shape used by the sharded engine: events exactly at
-    /// `epoch + lookahead` must be visible to `next_cycle` and pop after
-    /// every event of the current cycle, for all three implementations.
+    /// Cycle-boundary shape the engine's kernel transitions rely on:
+    /// `next_cycle` reports the current cycle until its last event has
+    /// popped, and only then the next populated cycle, whose events pop
+    /// after every event of the current one — for all three
+    /// implementations.
     #[test]
-    fn events_exactly_at_epoch_plus_lookahead_order_after_current_cycle() {
-        const LOOKAHEAD: u64 = 3; // mesh router + one hop (min_remote_latency)
+    fn next_cycle_holds_until_the_current_cycle_drains() {
+        const GAP: u64 = 3; // mesh router + one hop, the shortest delivery
         for kind in [QueueKind::Calendar, QueueKind::Heap, QueueKind::Controlled] {
             let mut q: EventQueue<u32> = EventQueue::new(kind);
-            let epoch = 41u64;
-            q.push(epoch, 0);
-            q.push(epoch + LOOKAHEAD, 10); // cross-shard delivery, earliest legal
-            q.push(epoch, 1); // same-cycle tie: FIFO after 0
-            q.push(epoch + LOOKAHEAD, 11);
-            assert_eq!(q.next_cycle(), Some(epoch));
-            assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((epoch, 0)));
-            assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((epoch, 1)));
-            assert_eq!(q.next_cycle(), Some(epoch + LOOKAHEAD), "{kind:?}");
-            assert_eq!(
-                q.pop().map(|(at, _, v)| (at, v)),
-                Some((epoch + LOOKAHEAD, 10))
-            );
-            assert_eq!(
-                q.pop().map(|(at, _, v)| (at, v)),
-                Some((epoch + LOOKAHEAD, 11))
-            );
+            let now = 41u64;
+            q.push(now, 0);
+            q.push(now + GAP, 10);
+            q.push(now, 1); // same-cycle tie: FIFO after 0
+            q.push(now + GAP, 11);
+            assert_eq!(q.next_cycle(), Some(now));
+            assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((now, 0)));
+            assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((now, 1)));
+            assert_eq!(q.next_cycle(), Some(now + GAP), "{kind:?}");
+            assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((now + GAP, 10)));
+            assert_eq!(q.pop().map(|(at, _, v)| (at, v)), Some((now + GAP, 11)));
             assert_eq!(q.pop(), None);
         }
     }

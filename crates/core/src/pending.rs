@@ -9,11 +9,10 @@
 //! `id - base` and advances `base` over the drained prefix — O(1)
 //! amortized insert and remove, no hashing, no rehash pauses.
 //!
-//! The sharded engine mints ids with the shard index in the top bits
-//! (`shard << 56 | counter`), which keeps each worker's id stream dense
-//! and monotone from its own huge base. The first insert snaps `base`
-//! to that first id, so the window works unchanged at any shard prefix
-//! — nothing here assumes ids start near zero.
+//! The first insert snaps `base` to that first id, so the window works
+//! unchanged for an id stream that starts anywhere in the `u64` space —
+//! nothing here assumes ids start near zero, only that they are minted
+//! in increasing order.
 //!
 //! # Examples
 //!
@@ -203,21 +202,20 @@ mod tests {
         assert_eq!(ids, [2, 3, 5, 9]);
     }
 
-    /// The sharded engine's id scheme: each worker mints from a shard
-    /// prefix in the top bits, so the window must work when the very
-    /// first id is enormous and the whole stream stays near it.
+    /// The window must work when the very first id is enormous and the
+    /// whole stream stays near it (ids are opaque; only their order is
+    /// assumed).
     #[test]
-    fn window_works_at_shard_prefixed_bases() {
-        const SHARD_SHIFT: u32 = 56;
-        for shard in [0u64, 1, 3, 255] {
-            let base = shard << SHARD_SHIFT;
+    fn window_works_at_high_id_bases() {
+        for prefix in [0u64, 1, 3, 255] {
+            let base = prefix << 56;
             let mut t: PendingTable<u64> = PendingTable::new();
             for i in 1..=64 {
                 t.insert(ReqId(base | i), i);
             }
-            // Ids from another shard's prefix are simply unknown, not a
-            // corruption: below-window lookups return None.
-            if shard > 0 {
+            // Ids below the window are simply unknown, not a corruption:
+            // lookups return None.
+            if prefix > 0 {
                 assert_eq!(t.remove(ReqId(7)), None);
                 assert_eq!(t.get(ReqId(7)), None);
             }
@@ -227,7 +225,7 @@ mod tests {
             assert_eq!(t.len(), 1);
             assert!(
                 t.slots.len() <= 1,
-                "window failed to slide at prefix {shard}"
+                "window failed to slide at prefix {prefix}"
             );
             assert_eq!(t.iter().next(), Some((ReqId(base | 64), &64)));
             assert_eq!(t.remove(ReqId(base | 64)), Some(64));

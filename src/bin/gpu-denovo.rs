@@ -32,8 +32,8 @@ use gpu_denovo::trace::{
 use gpu_denovo::types::{JsonValue, MsgClass};
 use gpu_denovo::workloads::litmus;
 use gpu_denovo::{
-    registry, CheckLevel, FlowReport, FlowSpec, LensReport, LensSpec, ProfSpec, ProfileReport,
-    ProtocolConfig, Scale, SimError, SimStats, Simulator, StallKind, SystemConfig,
+    registry, CheckLevel, FlowReport, FlowSpec, LensReport, LensSpec, MeshConfig, ProfSpec,
+    ProfileReport, ProtocolConfig, Scale, SimError, SimStats, Simulator, StallKind, SystemConfig,
 };
 use std::process::ExitCode;
 
@@ -45,12 +45,11 @@ fn usage() -> ExitCode {
         "usage:\n  \
          gpu-denovo list\n  \
          gpu-denovo run <BENCH> [--config GD|GH|DD|DD+RO|DH] [--paper] [--detail] [--hist]\n              \
-         [--shards N] [--devices N] [--xlink-latency N]\n  \
-         gpu-denovo compare <BENCH> [--paper] [--shards N] [--devices N] [--xlink-latency N]\n  \
+         [--devices N] [--xlink-latency N]\n  \
+         gpu-denovo compare <BENCH> [--paper] [--devices N] [--xlink-latency N]\n  \
          gpu-denovo sweep [--group nosync|global|local|extension|fabric] [--paper] [--jobs N]\n                   \
-         [--shards N] [--devices N] [--xlink-latency N]\n                   \
-         [--out FILE.csv|FILE.json] [--no-cache]\n  \
-         gpu-denovo matrix [--paper] [--jobs N] [--shards N] [--out FILE.csv|FILE.json]\n                    \
+         [--devices N] [--xlink-latency N] [--out FILE.csv|FILE.json] [--no-cache]\n  \
+         gpu-denovo matrix [--paper] [--jobs N] [--out FILE.csv|FILE.json]\n                    \
          [--devices N] [--xlink-latency N] [--no-cache]\n  \
          gpu-denovo trace <BENCH> [--config GD|GH|DD|DD+RO|DH] [--paper] --out <FILE>\n  \
          gpu-denovo profile <BENCH> [--config GD|GH|DD|DD+RO|DH] [--paper] [--interval N]\n                     \
@@ -68,13 +67,10 @@ fn usage() -> ExitCode {
          Both run cells on `--jobs` worker threads (0 or default = all\n\
          cores) and cache results in target/gsim-cache/; output is\n\
          byte-identical regardless of --jobs.\n\
-         `--shards N` advances each run on the sharded parallel engine\n\
-         (N worker threads per run; sweeps budget --jobs x --shards to\n\
-         the core count). Results are byte-identical to the sequential\n\
-         engine for any N; observer commands (trace/profile/flow) fall\n\
-         back to sequential.\n\
-         `--devices N` joins N device meshes into one fabric over a\n\
-         slower inter-device link (`--xlink-latency`, default 40 cycles);\n\
+         `--devices N` (1..=15) joins N device meshes into one fabric over\n\
+         a slower inter-device link (`--xlink-latency`, default 40 cycles);\n\
+         every command that simulates a benchmark (run, compare, sweep,\n\
+         matrix, trace, profile, flow, lens) accepts both.\n\
          L2 homes stripe across all devices. The fabric group's XDEV_D /\n\
          XDEV_S / XPC microbenchmarks measure device- vs system-scope\n\
          synchronization on it (XPC needs --devices >= 2).\n\
@@ -111,9 +107,116 @@ fn usage() -> ExitCode {
          with a replayable schedule id per outcome. --naive disables\n\
          DPOR pruning (ground truth); --budget caps schedules per cell\n\
          (default 4096); --replay ID re-runs one schedule (requires\n\
-         --shape, and --config unless the default DD is meant)."
+         --shape, and --config unless the default DD is meant).\n\
+         Every command rejects flags it does not list above."
     );
     ExitCode::FAILURE
+}
+
+/// The arguments one subcommand accepts: whether its first argument is
+/// a positional `<BENCH>`, the flags that take a value (the next
+/// argument), and the flags that stand alone.
+type Flags = (bool, &'static [&'static str], &'static [&'static str]);
+
+/// The flag table of subcommand `cmd` (`None` for an unknown command).
+fn flags_of(cmd: &str) -> Option<Flags> {
+    const OBSERVE: &[&str] = &["--paper", "--json"];
+    Some(match cmd {
+        "list" => (false, &[], &[]),
+        "run" => (
+            true,
+            &["--config", "--devices", "--xlink-latency"],
+            &["--paper", "--detail", "--hist"],
+        ),
+        "compare" => (true, &["--devices", "--xlink-latency"], &["--paper"]),
+        "sweep" => (
+            false,
+            &["--group", "--jobs", "--out", "--devices", "--xlink-latency"],
+            &["--paper", "--no-cache"],
+        ),
+        "matrix" => (
+            false,
+            &["--jobs", "--out", "--devices", "--xlink-latency"],
+            &["--paper", "--no-cache"],
+        ),
+        "trace" => (
+            true,
+            &["--config", "--out", "--devices", "--xlink-latency"],
+            &["--paper"],
+        ),
+        "profile" => (
+            true,
+            &[
+                "--config",
+                "--interval",
+                "--topn",
+                "--out",
+                "--devices",
+                "--xlink-latency",
+            ],
+            OBSERVE,
+        ),
+        "flow" => (
+            true,
+            &[
+                "--config",
+                "--interval",
+                "--period",
+                "--topn",
+                "--out",
+                "--devices",
+                "--xlink-latency",
+            ],
+            OBSERVE,
+        ),
+        "lens" => (
+            true,
+            &[
+                "--config",
+                "--topk",
+                "--topn",
+                "--out",
+                "--devices",
+                "--xlink-latency",
+            ],
+            OBSERVE,
+        ),
+        "check" => (false, &["--bench"], &["--paper"]),
+        "explore" => (
+            false,
+            &["--shape", "--config", "--budget", "--replay"],
+            &["--naive", "--json"],
+        ),
+        _ => return None,
+    })
+}
+
+/// Rejects any argument of `cmd` its [`Flags`] do not name: an unknown
+/// `--flag` (naming the valid ones) or a stray positional argument.
+/// Missing or malformed values are left to the per-flag parsers.
+fn check_flags(cmd: &str, (bench, valued, switches): Flags, args: &[String]) -> Result<(), String> {
+    let mut rest = args.iter().skip(1).peekable();
+    if bench {
+        rest.next_if(|a| !a.starts_with("--"));
+    }
+    while let Some(a) = rest.next() {
+        if valued.contains(&a.as_str()) {
+            rest.next_if(|v| !v.starts_with("--"));
+        } else if !switches.contains(&a.as_str()) {
+            let what = if a.starts_with("--") {
+                format!("unknown flag {a}")
+            } else {
+                format!("unexpected argument {a:?}")
+            };
+            let valid: Vec<&str> = valued.iter().chain(switches).copied().collect();
+            return Err(if valid.is_empty() {
+                format!("{what}: `{cmd}` takes no flags")
+            } else {
+                format!("{what} for `{cmd}`: valid flags are {}", valid.join(", "))
+            });
+        }
+    }
+    Ok(())
 }
 
 /// The value following `flag`, if the flag is present. `Err` means the
@@ -163,11 +266,14 @@ fn parse_group(args: &[String]) -> Result<Option<registry::Group>, String> {
 fn parse_fabric(args: &[String]) -> Result<FabricSpec, String> {
     let mut fabric = FabricSpec::default();
     if let Some(v) = flag_value(args, "--devices").map_err(|e| format!("{e} (a device count)"))? {
-        fabric.devices = match v.parse::<u8>() {
-            Ok(n) if n > 0 => n,
+        // Every node of every device hosts an L2 bank, and the L1s'
+        // home map addresses banks with a u8.
+        let max = 255 / MeshConfig::default().nodes();
+        fabric.devices = match v.parse::<usize>() {
+            Ok(n) if (1..=max).contains(&n) => n as u8,
             _ => {
                 return Err(format!(
-                    "invalid --devices value {v:?}: expected a positive device count"
+                    "invalid --devices value {v:?}: expected a device count in 1..={max}"
                 ))
             }
         };
@@ -185,22 +291,6 @@ fn parse_fabric(args: &[String]) -> Result<FabricSpec, String> {
         };
     }
     Ok(fabric)
-}
-
-/// `--shards N`: advance the run on the sharded parallel engine with
-/// `N` worker threads. Absent means the sequential reference engine;
-/// results are byte-identical either way (the `EngineKind` contract),
-/// so the flag is purely a wall-clock choice.
-fn parse_shards(args: &[String]) -> Result<Option<usize>, String> {
-    let Some(s) = flag_value(args, "--shards").map_err(|e| format!("{e} (a shard count)"))? else {
-        return Ok(None);
-    };
-    match s.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(Some(n)),
-        _ => Err(format!(
-            "invalid --shards value {s:?}: expected a positive shard count"
-        )),
-    }
 }
 
 /// `--jobs N`; absent or 0 means auto (all cores).
@@ -252,15 +342,10 @@ fn run_one(
     name: &str,
     p: ProtocolConfig,
     s: Scale,
-    shards: Option<usize>,
     fabric: FabricSpec,
 ) -> Result<SimStats, String> {
     let b = lookup_bench(name)?;
-    let mut cfg = fabric.system(p);
-    if let Some(n) = shards {
-        cfg = cfg.with_shards(n);
-    }
-    Simulator::new(cfg)
+    Simulator::new(fabric.system(p))
         .run(&(b.build)(s))
         .map_err(|e| format!("{name} under {p}: {e}"))
 }
@@ -538,7 +623,6 @@ fn header() {
 /// the results for command-specific presentation.
 fn run_matrix(cells: &[Cell], args: &[String]) -> Result<Vec<CellResult>, String> {
     let jobs = parse_jobs(args)?;
-    let shards = parse_shards(args)?;
     let fabric = parse_fabric(args)?;
     let cells: Vec<Cell> = cells.iter().map(|c| c.clone().on_fabric(fabric)).collect();
     let cells = cells.as_slice();
@@ -552,13 +636,7 @@ fn run_matrix(cells: &[Cell], args: &[String]) -> Result<Vec<CellResult>, String
         )
     };
 
-    // Sharded cells bring their own worker threads, so the pool width
-    // is budgeted inside `run_cells_sharded`; results and cache entries
-    // are byte-identical to the sequential runner either way.
-    let results = match shards {
-        Some(n) => harness::run_cells_sharded(cells, jobs, cache.as_ref(), n)?,
-        None => harness::run_cells(cells, jobs, cache.as_ref())?,
-    };
+    let results = harness::run_cells(cells, jobs, cache.as_ref())?;
 
     if let Some((path, format)) = out {
         let text = match format {
@@ -593,6 +671,12 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
+    let Some(flags) = flags_of(cmd) else {
+        return usage();
+    };
+    if let Err(e) = check_flags(cmd, flags, &args) {
+        return fail(e);
+    }
     match cmd.as_str() {
         "list" => {
             println!("{:<10} {:<12} Table 4 input", "name", "group");
@@ -618,15 +702,11 @@ fn main() -> ExitCode {
                 Ok(c) => c,
                 Err(e) => return fail(e),
             };
-            let shards = match parse_shards(&args) {
-                Ok(s) => s,
-                Err(e) => return fail(e),
-            };
             let fabric = match parse_fabric(&args) {
                 Ok(f) => f,
                 Err(e) => return fail(e),
             };
-            match run_one(name, config, scale(&args), shards, fabric) {
+            match run_one(name, config, scale(&args), fabric) {
                 Ok(stats) => {
                     header();
                     print_row(config, &stats);
@@ -693,14 +773,6 @@ fn main() -> ExitCode {
                 Err(e) => return fail(e),
             };
             let s = scale(&args);
-            match parse_shards(&args) {
-                Ok(Some(_)) => eprintln!(
-                    "note: profiling observers force the sequential engine; \
-                     --shards is ignored (stats are identical by contract)"
-                ),
-                Ok(None) => {}
-                Err(e) => return fail(e),
-            }
             let mut spec = ProfSpec::on();
             match flag_value(&args, "--interval") {
                 Ok(Some(v)) => match v.parse::<u64>() {
@@ -822,14 +894,6 @@ fn main() -> ExitCode {
                 Err(e) => return fail(e),
             };
             let s = scale(&args);
-            match parse_shards(&args) {
-                Ok(Some(_)) => eprintln!(
-                    "note: flow observers force the sequential engine; \
-                     --shards is ignored (stats are identical by contract)"
-                ),
-                Ok(None) => {}
-                Err(e) => return fail(e),
-            }
             let mut spec = FlowSpec::on();
             match flag_value(&args, "--interval") {
                 Ok(Some(v)) => match v.parse::<u64>() {
@@ -973,14 +1037,6 @@ fn main() -> ExitCode {
                 Err(e) => return fail(e),
             };
             let s = scale(&args);
-            match parse_shards(&args) {
-                Ok(Some(_)) => eprintln!(
-                    "note: lens observers force the sequential engine; \
-                     --shards is ignored (stats are identical by contract)"
-                ),
-                Ok(None) => {}
-                Err(e) => return fail(e),
-            }
             let mut spec = LensSpec::on();
             match flag_value(&args, "--topk") {
                 Ok(Some(v)) => match v.parse::<usize>() {
@@ -1108,17 +1164,13 @@ fn main() -> ExitCode {
             if let Err(e) = lookup_bench(name) {
                 return fail(e);
             }
-            let shards = match parse_shards(&args) {
-                Ok(s) => s,
-                Err(e) => return fail(e),
-            };
             let fabric = match parse_fabric(&args) {
                 Ok(f) => f,
                 Err(e) => return fail(e),
             };
             header();
             for p in ProtocolConfig::ALL {
-                match run_one(name, p, scale(&args), shards, fabric) {
+                match run_one(name, p, scale(&args), fabric) {
                     Ok(stats) => print_row(p, &stats),
                     Err(e) => return fail(e),
                 }
