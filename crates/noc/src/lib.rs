@@ -10,7 +10,8 @@
 //! wormhole-style multi-flit packets; each directed link carries one flit
 //! per `cycles_per_flit` cycles, so a message of `f` flits occupies a
 //! link for `f x cpf` cycles and contends with other traffic
-//! ([`Mesh::send`] models this with per-link next-free times).
+//! ([`Mesh::send`] models this with per-link next-free times, walking a
+//! route precomputed when the [`Mesh`] is built).
 //!
 //! A [`Topology`] composes `devices` identical meshes: node ids are
 //! global (`device * mesh.nodes() + local`), each device's local node 0
@@ -65,11 +66,11 @@ use gsim_types::{Cycle, InlineVec, Msg, NodeId, TrafficBreakdown};
 /// A route through the fabric: the nodes visited after the source,
 /// ending at the destination.
 ///
-/// Inline up to 16 hops — enough for every route of the default fabrics
-/// (a 4x4 mesh's longest route is 6 hops; two 4x4 devices joined by a
-/// gateway link peak at 13). Longer routes (big meshes, deep fabrics)
-/// spill transparently to the heap; [`Topology::max_route_len`] is the
-/// exact per-topology bound, and routing stays correct either way.
+/// A [`Mesh`] builds every route once, at construction, and keeps it as
+/// link ids. Inline up to 16 hops — enough for every route of the
+/// default fabrics (a 4x4 mesh's longest route is 6 hops; two 4x4
+/// devices joined by a gateway link peak at 13). Longer routes spill to
+/// the heap; [`Topology::max_route_len`] is the exact per-topology bound.
 pub type Route = InlineVec<NodeId, 16>;
 
 /// Mesh geometry and timing parameters.
@@ -414,22 +415,106 @@ impl Topology {
     }
 }
 
-/// A directed link between adjacent fabric nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct Link {
+/// One directed link of the fabric: its endpoints and timing, looked
+/// up by dense link id.
+#[derive(Clone, Copy, Debug)]
+struct LinkRow {
     from: NodeId,
     to: NodeId,
+    latency: Cycle,
+    cpf: Cycle,
+}
+
+/// Every route of a topology, precomputed at construction.
+///
+/// Each directed link (mesh neighbours and inter-device gateway links)
+/// gets a dense `u16` id — at most 65,280 links on 256 nodes — and each
+/// `(src, dst)` pair a slice of link ids in a flat array, built from
+/// [`Topology::route`] so routing keeps its one definition.
+#[derive(Debug)]
+struct RouteTable {
+    nodes: usize,
+    /// One row per link id.
+    links: Vec<LinkRow>,
+    /// Pair `src * nodes + dst` routes over
+    /// `legs[starts[pair]..starts[pair + 1]]`.
+    starts: Vec<u32>,
+    legs: Vec<u16>,
+}
+
+impl RouteTable {
+    fn new(topology: &Topology) -> Self {
+        let n = topology.nodes();
+        let node = |i: usize| NodeId(i as u8);
+        // Link ids in (from, to) order; `id_of` is the dense inverse
+        // used only while the legs are laid out.
+        let mut id_of = vec![u16::MAX; n * n];
+        let mut links = Vec::new();
+        for from in 0..n {
+            for to in 0..n {
+                if topology.hops(node(from), node(to)) == 1 {
+                    id_of[from * n + to] = links.len() as u16;
+                    let (latency, cpf) = topology.link_timing(node(from), node(to));
+                    links.push(LinkRow {
+                        from: node(from),
+                        to: node(to),
+                        latency,
+                        cpf,
+                    });
+                }
+            }
+        }
+        let mut starts = Vec::with_capacity(n * n + 1);
+        let mut legs = Vec::new();
+        starts.push(0);
+        for src in 0..n {
+            for dst in 0..n {
+                let mut from = src;
+                for to in topology.route(node(src), node(dst)) {
+                    let id = id_of[from * n + to.index()];
+                    debug_assert_ne!(id, u16::MAX, "route step {from}->{to} is not a link");
+                    legs.push(id);
+                    from = to.index();
+                }
+                starts.push(legs.len() as u32);
+            }
+        }
+        RouteTable {
+            nodes: n,
+            links,
+            starts,
+            legs,
+        }
+    }
+
+    /// The link ids from `src` to `dst`, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the node, if either end is not on the topology.
+    #[inline]
+    fn route(&self, topology: &Topology, src: NodeId, dst: NodeId) -> &[u16] {
+        let (s, d) = (src.index(), dst.index());
+        if s >= self.nodes || d >= self.nodes {
+            // `device_of` panics with "node N not on a …".
+            topology.device_of(src);
+            topology.device_of(dst);
+        }
+        let pair = s * self.nodes + d;
+        &self.legs[self.starts[pair] as usize..self.starts[pair + 1] as usize]
+    }
 }
 
 /// The fabric interconnect: routing, contention, and traffic accounting.
 ///
 /// Single-threaded and deterministic: message latency depends only on the
-/// injection time and previously sent messages.
+/// injection time and previously sent messages. Routes are computed once,
+/// when the mesh is built, so a send walks a precomputed list of links.
 #[derive(Debug)]
 pub struct Mesh {
     topology: Topology,
-    /// Next cycle at which each directed link is free, indexed by
-    /// `from * nodes + to` over global node ids.
+    table: RouteTable,
+    /// Next cycle at which each directed link is free, by link id.
     link_free: Vec<Cycle>,
     traffic: TrafficBreakdown,
     messages: u64,
@@ -443,12 +528,14 @@ impl Mesh {
         Mesh::with_topology(Topology::single(config))
     }
 
-    /// Creates the interconnect of a (possibly multi-device) topology.
+    /// Creates the interconnect of a (possibly multi-device) topology,
+    /// precomputing every route.
     pub fn with_topology(topology: Topology) -> Self {
-        let n = topology.nodes();
+        let table = RouteTable::new(&topology);
         Mesh {
             topology,
-            link_free: vec![0; n * n],
+            link_free: vec![0; table.links.len()],
+            table,
             traffic: TrafficBreakdown::default(),
             messages: 0,
             trace: TraceHandle::disabled(),
@@ -505,10 +592,6 @@ impl Mesh {
         self.link_free.iter().filter(|&&t| t > now).count()
     }
 
-    fn link_index(&self, link: Link) -> usize {
-        link.from.index() * self.topology.nodes() + link.to.index()
-    }
-
     /// Injects `msg` at cycle `now` and returns its arrival cycle at the
     /// destination node, modelling per-link serialization: a link is
     /// busy for `flits x cycles-per-flit` cycles per message crossing it
@@ -521,33 +604,36 @@ impl Mesh {
     /// only the router latency, and adds no traffic — this is how
     /// locally scoped synchronization and same-node L2 bank accesses
     /// avoid network overhead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `msg.src` or `msg.dst` is not on the topology.
     pub fn send(&mut self, now: Cycle, msg: &Msg) -> Cycle {
         self.messages += 1;
         let flits = msg.flits();
-        let path = self.topology.route(msg.src, msg.dst);
-        let hops = path.len() as u32;
-        self.traffic.record(msg.class(), flits, hops);
+        let class = msg.class();
+        let legs = self.table.route(&self.topology, msg.src, msg.dst);
+        let hops = legs.len() as u32;
+        self.traffic.record(class, flits, hops);
 
         // Head-flit timing with per-link serialization; the tail has
         // fully arrived `(flits - 1) x cpf` cycles after the head, paced
         // by the slowest link on the path.
         let mut t = now + self.topology.mesh.router_latency;
-        let mut from = msg.src;
         let mut queued: Cycle = 0;
         let mut tail_cpf: Cycle = 1;
-        for &to in &path {
-            let li = self.link_index(Link { from, to });
-            let (latency, cpf) = self.topology.link_timing(from, to);
+        for &id in legs {
+            let link = &self.table.links[id as usize];
+            let free = &mut self.link_free[id as usize];
             let ready = t;
-            t = t.max(self.link_free[li]);
+            t = t.max(*free);
             let wait = t - ready;
             queued += wait;
-            self.link_free[li] = t + flits as Cycle * cpf;
+            *free = t + flits as Cycle * link.cpf;
             self.flow
-                .link_crossing(from, to, msg.class(), flits, wait, latency);
-            t += latency;
-            tail_cpf = tail_cpf.max(cpf);
-            from = to;
+                .link_crossing(link.from, link.to, class, flits, wait, link.latency);
+            t += link.latency;
+            tail_cpf = tail_cpf.max(link.cpf);
         }
         if hops > 0 {
             t += (flits as Cycle - 1) * tail_cpf; // tail serialization at destination
@@ -556,7 +642,7 @@ impl Mesh {
         self.trace.emit(|| TraceEvent::MsgSend {
             src: msg.src,
             dst: msg.dst,
-            class: msg.class(),
+            class,
             flits,
             hops,
             arrival: t,
@@ -1008,6 +1094,22 @@ mod tests {
             let t = two_dev();
             let _ = t.device_of(NodeId(32));
         }
+
+        #[test]
+        #[should_panic(expected = "not on a")]
+        fn send_from_an_off_fabric_node_panics() {
+            let mut m = Mesh::with_topology(two_dev());
+            m.send(0, &ctrl(32, 1));
+        }
+
+        #[test]
+        #[should_panic(expected = "not on a")]
+        fn send_to_an_off_fabric_node_panics() {
+            // `src * nodes + dst` would land inside the table (pair
+            // 1 * 32 + 32 is 2 -> 0); the range check must catch it.
+            let mut m = Mesh::with_topology(two_dev());
+            m.send(0, &ctrl(1, 32));
+        }
     }
 
     mod properties {
@@ -1046,23 +1148,28 @@ mod tests {
         /// `node_at` and `device_of` / `local` / `node_at` round-trip,
         /// and every route is valid — adjacent hops, correct endpoints,
         /// length within `max_route_len`.
+        /// A random fabric: 1-8 columns and rows, 1-4 devices, random
+        /// inter-device link timing.
+        fn random_topology(rng: &mut Rng64) -> Topology {
+            let mesh = MeshConfig::grid(rng.gen_u32(1, 9) as u8, rng.gen_u32(1, 9) as u8);
+            let max_dev = (256 / mesh.nodes()).clamp(1, 4);
+            let devices = rng.gen_u32(1, max_dev as u32 + 1) as u8;
+            Topology::fabric(
+                mesh,
+                devices,
+                XLinkConfig {
+                    latency: rng.gen_u64(1, 100),
+                    cycles_per_flit: rng.gen_u64(1, 8),
+                },
+            )
+        }
+
         #[test]
         fn random_topologies_route_validly() {
             let mut rng = Rng64::seed_from_u64(0xfab1);
             for _ in 0..64 {
-                let cols = rng.gen_u32(1, 9) as u8;
-                let rows = rng.gen_u32(1, 9) as u8;
-                let mesh = MeshConfig::grid(cols, rows);
-                let max_dev = (256 / mesh.nodes()).clamp(1, 4);
-                let devices = rng.gen_u32(1, max_dev as u32 + 1) as u8;
-                let t = Topology::fabric(
-                    mesh,
-                    devices,
-                    XLinkConfig {
-                        latency: rng.gen_u64(1, 100),
-                        cycles_per_flit: rng.gen_u64(1, 8),
-                    },
-                );
+                let t = random_topology(&mut rng);
+                let (cols, rows, devices) = (t.mesh.cols, t.mesh.rows, t.devices);
                 // Round trips over every node.
                 for n in 0..t.nodes() as u8 {
                     let node = NodeId(n);
@@ -1159,6 +1266,118 @@ mod tests {
                     assert_eq!(arrival, arr);
                 }
                 other => panic!("unexpected event {other:?}"),
+            }
+        }
+
+        /// The route table is `Topology::route` precomputed: for every
+        /// pair, its link ids walk exactly the route's nodes, and every
+        /// link row carries `link_timing`'s numbers.
+        #[test]
+        fn route_table_matches_topology_routes() {
+            let mut rng = Rng64::seed_from_u64(0xfab1);
+            for _ in 0..64 {
+                let t = random_topology(&mut rng);
+                let table = RouteTable::new(&t);
+                for link in &table.links {
+                    assert_eq!(t.hops(link.from, link.to), 1, "{link:?} is a link");
+                    assert_eq!((link.latency, link.cpf), t.link_timing(link.from, link.to));
+                }
+                for a in 0..t.nodes() as u8 {
+                    for b in 0..t.nodes() as u8 {
+                        let (a, b) = (NodeId(a), NodeId(b));
+                        let mut from = a;
+                        let mut walked = Route::new();
+                        for &id in table.route(&t, a, b) {
+                            let link = table.links[id as usize];
+                            assert_eq!(link.from, from, "{a}->{b} is contiguous");
+                            walked.push(link.to);
+                            from = link.to;
+                        }
+                        assert_eq!(walked, t.route(a, b), "{a}->{b}");
+                    }
+                }
+            }
+        }
+
+        /// The per-hop walk `Mesh::send` did before routes were
+        /// precomputed: route materialized per message, link timing
+        /// classified per hop, link state indexed by `from * nodes + to`.
+        struct PerHopMesh {
+            topology: Topology,
+            link_free: Vec<Cycle>,
+            traffic: TrafficBreakdown,
+            messages: u64,
+        }
+
+        impl PerHopMesh {
+            fn new(topology: Topology) -> Self {
+                let n = topology.nodes();
+                PerHopMesh {
+                    topology,
+                    link_free: vec![0; n * n],
+                    traffic: TrafficBreakdown::default(),
+                    messages: 0,
+                }
+            }
+
+            fn send(&mut self, now: Cycle, msg: &Msg) -> Cycle {
+                self.messages += 1;
+                let flits = msg.flits();
+                let path = self.topology.route(msg.src, msg.dst);
+                self.traffic.record(msg.class(), flits, path.len() as u32);
+                let mut t = now + self.topology.mesh.router_latency;
+                let mut from = msg.src;
+                let mut tail_cpf: Cycle = 1;
+                for &to in &path {
+                    let li = from.index() * self.topology.nodes() + to.index();
+                    let (latency, cpf) = self.topology.link_timing(from, to);
+                    t = t.max(self.link_free[li]);
+                    self.link_free[li] = t + flits as Cycle * cpf;
+                    t += latency;
+                    tail_cpf = tail_cpf.max(cpf);
+                    from = to;
+                }
+                if !path.is_empty() {
+                    t += (flits as Cycle - 1) * tail_cpf;
+                }
+                t
+            }
+
+            fn links_busy_after(&self, now: Cycle) -> usize {
+                self.link_free.iter().filter(|&&t| t > now).count()
+            }
+        }
+
+        /// A seeded stream of mixed-size messages, injected close enough
+        /// together to contend, gets the same arrivals, traffic, message
+        /// count and link occupancy from `Mesh::send` as from the
+        /// per-hop walk, on random fabrics.
+        #[test]
+        fn send_matches_the_per_hop_walk() {
+            let mut rng = Rng64::seed_from_u64(0x5e4d);
+            for _ in 0..32 {
+                let t = random_topology(&mut rng);
+                let (mut table, mut walk) = (Mesh::with_topology(t), PerHopMesh::new(t));
+                let n = t.nodes() as u32;
+                let mut now = 0;
+                for _ in 0..512 {
+                    now += rng.gen_u64(0, 4);
+                    let (a, b) = (rng.gen_u32(0, n) as u8, rng.gen_u32(0, n) as u8);
+                    let msg = if rng.gen_bool() {
+                        ctrl(a, b)
+                    } else {
+                        data(a, b, rng.gen_usize(1, WORDS_PER_LINE + 1))
+                    };
+                    assert_eq!(
+                        table.send(now, &msg),
+                        walk.send(now, &msg),
+                        "{a}->{b} at {now}"
+                    );
+                    assert_eq!(table.links_busy_after(now), walk.links_busy_after(now));
+                }
+                assert_eq!(table.traffic(), &walk.traffic);
+                assert_eq!(table.messages_sent(), walk.messages);
+                assert_eq!(table.links_busy_after(0), walk.links_busy_after(0));
             }
         }
     }

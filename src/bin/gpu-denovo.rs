@@ -1197,6 +1197,16 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "check" => {
+            // Resolve --bench before the battery runs, so a bad value
+            // fails at once instead of after the whole battery.
+            let bench = match flag_value(&args, "--bench") {
+                Ok(None) => None,
+                Ok(Some(name)) => match lookup_bench(name) {
+                    Ok(b) => Some((name, b)),
+                    Err(e) => return fail(format!("--bench: {e}")),
+                },
+                Err(e) => return fail(format!("{e} (a Table 4 name)")),
+            };
             let mut failures: Vec<String> = Vec::new();
             let full = |p: ProtocolConfig| {
                 let mut cfg = SystemConfig::micro15(p);
@@ -1244,14 +1254,7 @@ fn main() -> ExitCode {
                 n => println!("  {:<16} MISSED under {n} config(s)", "racy-negative"),
             }
             // Optionally a Table 4 benchmark under the same microscope.
-            if let Some(name) = match flag_value(&args, "--bench") {
-                Ok(v) => v.map(str::to_string),
-                Err(e) => return fail(format!("{e} (a Table 4 name)")),
-            } {
-                let b = match lookup_bench(&name) {
-                    Ok(b) => b,
-                    Err(e) => return fail(e),
-                };
+            if let Some((name, b)) = bench {
                 let s = scale(&args);
                 println!("benchmark {name} at {s:?} scale under CheckLevel::Full:");
                 for p in ProtocolConfig::ALL {

@@ -86,3 +86,27 @@ fn a_valid_run_still_succeeds() {
     assert!(stdout.lines().any(|l| l.starts_with("GD ")), "{stdout}");
     assert!(stdout.contains("run verified functionally."), "{stdout}");
 }
+
+/// `check --bench` with a bad value fails before the litmus battery
+/// runs: exit 1, an error naming `--bench`, and no battery on stdout.
+fn assert_check_fails_before_the_battery(args: &[&str]) {
+    let out = gpu_denovo(args);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("--bench"), "{args:?}: {err}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        !stdout.contains("conformance battery"),
+        "{args:?}: the battery ran first: {stdout}"
+    );
+}
+
+#[test]
+fn check_bench_without_a_value_fails_before_the_battery() {
+    assert_check_fails_before_the_battery(&["check", "--bench"]);
+}
+
+#[test]
+fn check_with_an_unknown_bench_fails_before_the_battery() {
+    assert_check_fails_before_the_battery(&["check", "--bench", "NOPE"]);
+}
